@@ -189,11 +189,18 @@ func BenchmarkReplayLatex(b *testing.B) {
 
 // BenchmarkLocalEdits measures single-replica edit throughput at steady
 // state: a fixed 10k-atom document, each iteration inserting and deleting
-// so the document size (and with it the tree shape) stays constant.
-// Growing the document with b.N would measure ever-larger documents
-// instead of per-operation cost.
+// so the live document size stays constant. The tree does not stay
+// constant: under SDIS every delete leaves a tombstone at the edit point,
+// and re-inserting there allocates below it, so the tree deepens with each
+// iteration. The document is therefore rebuilt off-timer every
+// rebuildEvery iterations, which makes every measured window the same
+// edit history and the result independent of b.N (otherwise a faster
+// implementation runs more iterations within -benchtime and reads slower).
 func BenchmarkLocalEdits(b *testing.B) {
-	const steadySize = 10_000
+	const (
+		steadySize   = 10_000
+		rebuildEvery = 2_000
+	)
 	build := func(b *testing.B) *Doc {
 		b.Helper()
 		d, err := New(WithSite(1))
@@ -209,42 +216,47 @@ func BenchmarkLocalEdits(b *testing.B) {
 		}
 		return d
 	}
-	b.Run("append-delete", func(b *testing.B) {
+	steady := func(b *testing.B, edit func(d *Doc) error) {
 		d := build(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.Append("atom"); err != nil {
+			if err := edit(d); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := d.DeleteAt(d.Len() - 1); err != nil {
-				b.Fatal(err)
+			if i%rebuildEvery == rebuildEvery-1 {
+				b.StopTimer()
+				d = build(b)
+				b.StartTimer()
 			}
 		}
+	}
+	b.Run("append-delete", func(b *testing.B) {
+		steady(b, func(d *Doc) error {
+			if _, err := d.Append("atom"); err != nil {
+				return err
+			}
+			_, err := d.DeleteAt(d.Len() - 1)
+			return err
+		})
 	})
 	b.Run("insert-delete-front", func(b *testing.B) {
-		d := build(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		steady(b, func(d *Doc) error {
 			if _, err := d.InsertAt(0, "atom"); err != nil {
-				b.Fatal(err)
+				return err
 			}
-			if _, err := d.DeleteAt(0); err != nil {
-				b.Fatal(err)
-			}
-		}
+			_, err := d.DeleteAt(0)
+			return err
+		})
 	})
 	b.Run("insert-delete-middle", func(b *testing.B) {
-		d := build(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		steady(b, func(d *Doc) error {
 			mid := d.Len() / 2
 			if _, err := d.InsertAt(mid, "atom"); err != nil {
-				b.Fatal(err)
+				return err
 			}
-			if _, err := d.DeleteAt(mid); err != nil {
-				b.Fatal(err)
-			}
-		}
+			_, err := d.DeleteAt(mid)
+			return err
+		})
 	})
 	b.Run("apply-remote", func(b *testing.B) {
 		// Pre-build a bounded op batch and replay it round-robin against

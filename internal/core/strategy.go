@@ -117,7 +117,7 @@ type Balanced struct{}
 
 // NewID implements Strategy.
 func (Balanced) NewID(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
-	if id := t.FreeMiniBetween(p, f, d); id != nil {
+	if id := t.FreeMiniBetween(a, p, f, d); id != nil {
 		return id
 	}
 	id := naiveID(a, p, f, d)
@@ -126,11 +126,11 @@ func (Balanced) NewID(t *doctree.Tree, a *ident.Arena, p, f ident.Path, d ident.
 		if k >= 2 {
 			// Reserve the whole grown subtree (Figure 5's empty nodes), so
 			// subsequent inserts fill its slots instead of deepening the
-			// tree; take the region's smallest identifier now.
-			region := id[:len(id)-1].Clone()
-			region = append(region, ident.J(id[len(id)-1].Bit))
-			if err := t.Reserve(region, k); err == nil {
-				id = grow(id, k)
+			// tree; take the region's smallest identifier now. The grown
+			// identifier's first len(id) elements are the region's path.
+			grown := grow(a, id, k)
+			if err := t.Reserve(grown[:len(id)], k); err == nil {
+				id = grown
 			}
 		}
 	}
@@ -146,21 +146,23 @@ func growLevels(depth int) int {
 }
 
 // grow rewrites a naive identifier s+(b:d) as the smallest identifier of a
-// subtree grown k levels below the same slot: s+b+0…0+(0:d). The result
-// stays inside the naive identifier's already-validated region. k ≤ 1
-// leaves the identifier unchanged.
-func grow(id ident.Path, k int) ident.Path {
+// subtree grown k levels below the same slot: s+b+0…0+(0:d), allocated from
+// a. The result stays inside the naive identifier's already-validated
+// region. k ≤ 1 leaves the identifier unchanged.
+func grow(a *ident.Arena, id ident.Path, k int) ident.Path {
 	if k <= 1 {
 		return id
 	}
-	last := id[len(id)-1]
-	out := make(ident.Path, 0, len(id)+k-1)
-	out = append(out, id[:len(id)-1]...)
-	out = append(out, ident.J(last.Bit))
-	for i := 0; i < k-2; i++ {
-		out = append(out, ident.J(0))
+	n := len(id)
+	last := id[n-1]
+	out := a.Alloc(n + k - 1)
+	copy(out, id[:n-1])
+	out[n-1] = ident.J(last.Bit)
+	for i := n; i < len(out)-1; i++ {
+		out[i] = ident.J(0)
 	}
-	return append(out, ident.M(0, last.Dis))
+	out[len(out)-1] = ident.M(0, last.Dis)
+	return out
 }
 
 // NewRun implements Strategy: the paper's revision-grouping variant

@@ -93,11 +93,11 @@ func TestNaiveIDBetweenProperty(t *testing.T) {
 func TestGrowShapes(t *testing.T) {
 	d := ident.Dis{Site: 1}
 	naive := ident.Path{ident.J(1), ident.J(1), ident.M(1, d)}
-	if got := grow(naive, 1); !got.Equal(naive) {
+	if got := grow(new(ident.Arena), naive, 1); !got.Equal(naive) {
 		t.Errorf("k=1 must not grow: %v", got)
 	}
 	// k=3 on the Figure 5 shape: [11(1:d)] -> [1110(0:d)].
-	got := grow(naive, 3)
+	got := grow(new(ident.Arena), naive, 3)
 	if got.String() != "[1110(0:s1)]" {
 		t.Errorf("grow k=3 = %v, want [1110(0:s1)]", got)
 	}

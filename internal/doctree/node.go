@@ -99,6 +99,10 @@ type Tree struct {
 	// node pins at most its own chunk.
 	nodeChunk []Node
 	miniChunk []Mini
+
+	// slotPrefix is FreeMiniBetween's search path buffer, reused across
+	// searches so that a search allocates only the identifier it returns.
+	slotPrefix ident.Path
 }
 
 const (

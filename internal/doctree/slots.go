@@ -9,7 +9,8 @@ import (
 // FreeMiniBetween searches for the first empty node, in infix order, whose
 // mini position lies strictly between identifiers p and f (nil bounds mean
 // document start/end). It returns the identifier a new mini with
-// disambiguator d would take there, or nil if no reusable slot exists.
+// disambiguator d would take there, allocated from a, or nil if no reusable
+// slot exists.
 //
 // Empty nodes arise from balanced growth (Section 4.1 reserves a grown
 // subtree whose positions are consumed by subsequent inserts: "the
@@ -19,21 +20,28 @@ import (
 // incrementally (no per-node path reconstruction), and bounds its node
 // visits so a single allocation never degrades to a whole-tree scan: a
 // reusable slot beyond the budget is simply treated as absent and the
-// caller falls back to fresh allocation.
-func (t *Tree) FreeMiniBetween(p, f ident.Path, d ident.Dis) ident.Path {
-	s := &slotSearch{p: p, f: f, budget: 16*t.height + 64}
-	cap := t.height + 4
-	if cap > 64 {
-		cap = 64 // deep trees grow the prefix on demand
-	}
-	s.prefix = make(ident.Path, 0, cap)
-	n := s.walk(t.root)
-	if n == nil {
+// caller falls back to fresh allocation. The search path lives in a
+// tree-owned buffer, so a search that finds nothing does not allocate.
+func (t *Tree) FreeMiniBetween(a *ident.Arena, p, f ident.Path, d ident.Dis) ident.Path {
+	s := t.freeSlot(p, f)
+	if s.found == nil {
 		return nil
 	}
-	id := s.prefix.Clone()
+	id := a.Copy(s.prefix)
 	id[len(id)-1] = ident.M(id[len(id)-1].Bit, d)
 	return id
+}
+
+// freeSlot runs the free-slot search and returns its final state: the found
+// node (nil if none), its structural path in prefix (valid until the next
+// search), and the unspent budget.
+//
+//treedoc:noalloc
+func (t *Tree) freeSlot(p, f ident.Path) slotSearch {
+	s := slotSearch{p: p, f: f, prefix: t.slotPrefix[:0], budget: 16*t.height + 64}
+	s.found = s.walk(t.root, p != nil, f != nil)
+	t.slotPrefix = s.prefix[:0]
+	return s
 }
 
 // slotSearch is the in-order free-slot walk. prefix always holds the
@@ -43,62 +51,86 @@ type slotSearch struct {
 	p, f   ident.Path
 	prefix ident.Path
 	budget int
+	found  *Node
 }
 
 // walk searches n's subtree in infix order, returning the first empty node
 // whose mini position lies strictly between the bounds.
-func (s *slotSearch) walk(n *Node) *Node {
+//
+// pIn and fIn say whether p and f lie inside the region of n's parent; at
+// the root they say whether the bound is non-nil, the root's region being
+// the whole identifier space.
+// A bound inside that region agrees with n's path on every element but the
+// last two, so each comparison below starts there and costs O(1) instead of
+// O(depth). A bound outside it, and not pruned there, sorts before (p) or
+// after (f) the parent's whole region, which is an interval containing n's
+// subtree: it constrains nothing below and is never compared again.
+//
+//treedoc:noalloc
+func (s *slotSearch) walk(n *Node, pIn, fIn bool) *Node {
 	if n == nil || n.flat != nil || n.emptyN == 0 || s.budget <= 0 {
 		return nil
 	}
 	s.budget--
+	k := len(s.prefix)
+	from := max(k-2, 0) // elements shared with the parent's region path
 	// Prune subtrees entirely outside the open interval.
-	if s.p != nil && ident.RegionCompare(s.p, s.prefix) > 0 {
-		return nil // everything in n's region sorts <= p
+	if pIn {
+		c := ident.RegionCompareFrom(s.p, s.prefix, from)
+		if c > 0 {
+			return nil // everything in n's region sorts <= p
+		}
+		pIn = c == 0
 	}
-	if s.f != nil && ident.RegionCompare(s.f, s.prefix) < 0 {
-		return nil // everything in n's region sorts >= f
+	if fIn {
+		c := ident.RegionCompareFrom(s.f, s.prefix, from)
+		if c < 0 {
+			return nil // everything in n's region sorts >= f
+		}
+		fIn = c == 0
 	}
-	if got := s.into(n.left, ident.J(0)); got != nil {
+	if got := s.into(n.left, ident.J(0), pIn, fIn); got != nil {
 		return got
 	}
 	if n.parent != nil && n.empty() {
 		// The would-be mini position: the node's identifier with a mini
 		// selection. Disambiguators only order minis within one node and n
-		// has none, so any disambiguator gives the same betweenness.
-		last := len(s.prefix) - 1
+		// has none, so any disambiguator gives the same betweenness. A bound
+		// inside n's region shares the first k-1 elements with it.
+		last := k - 1
 		saved := s.prefix[last]
 		s.prefix[last] = ident.M(saved.Bit, ident.Canonical)
-		ok := ident.Between(s.p, s.prefix, s.f)
+		ok := (!pIn || ident.CompareFrom(s.p, s.prefix, last) < 0) &&
+			(!fIn || ident.CompareFrom(s.prefix, s.f, last) < 0)
 		s.prefix[last] = saved
 		if ok {
 			return n
 		}
 	}
 	for _, m := range n.minis {
-		if len(s.prefix) == 0 {
+		if k == 0 {
 			break // the root holds no minis
 		}
 		// Descend through the mini: the entry element gains its dis.
-		last := len(s.prefix) - 1
+		last := k - 1
 		saved := s.prefix[last]
 		s.prefix[last] = ident.M(saved.Bit, m.dis)
-		if got := s.into(m.left, ident.J(0)); got != nil {
+		if got := s.into(m.left, ident.J(0), pIn, fIn); got != nil {
 			return got
 		}
-		if got := s.into(m.right, ident.J(1)); got != nil {
+		if got := s.into(m.right, ident.J(1), pIn, fIn); got != nil {
 			return got
 		}
 		s.prefix[last] = saved
 	}
-	return s.into(n.right, ident.J(1))
+	return s.into(n.right, ident.J(1), pIn, fIn)
 }
 
 // into pushes the child element, walks the child, and pops on failure. On
 // success the prefix is left pointing at the found node.
-func (s *slotSearch) into(n *Node, e ident.Elem) *Node {
+func (s *slotSearch) into(n *Node, e ident.Elem, pIn, fIn bool) *Node {
 	s.prefix = append(s.prefix, e)
-	if got := s.walk(n); got != nil {
+	if got := s.walk(n, pIn, fIn); got != nil {
 		return got
 	}
 	s.prefix = s.prefix[:len(s.prefix)-1]
@@ -125,7 +157,7 @@ func (t *Tree) Reserve(path ident.Path, levels int) error {
 		depth++
 		next := cur.child(e.Bit)
 		if next == nil {
-			next = &Node{parent: cur.node, pmini: cur.mini, bit: e.Bit}
+			next = t.newNode(cur.node, cur.mini, e.Bit)
 			cur.setChild(e.Bit, next)
 			t.bubbleCounts(next, 0, 1)
 			bubbleEmpty(next, +1)
@@ -144,7 +176,7 @@ func (t *Tree) Reserve(path ident.Path, levels int) error {
 			if len(next.minis) == 0 {
 				bubbleEmpty(next, -1)
 			}
-			m = next.insertMini(e.Dis)
+			m = t.insertMini(next, e.Dis)
 			m.dead = true
 			t.bubble(next, 0, 0, +1)
 		}
@@ -163,7 +195,7 @@ func (t *Tree) reserveBelow(n *Node, depth, levels int) {
 	for _, bit := range []uint8{0, 1} {
 		c := n.child(bit)
 		if c == nil {
-			c = &Node{parent: n, bit: bit}
+			c = t.newNode(n, nil, bit)
 			n.setChild(bit, c)
 			t.bubbleCounts(c, 0, 1)
 			bubbleEmpty(c, +1)

@@ -162,3 +162,65 @@ func TestOrderAgreesWithChildGeometry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// sharedPair draws two paths that share a random prefix, so the shared
+// length is often well above zero and every skip length gets exercised.
+func sharedPair(r *rand.Rand) (Path, Path) {
+	cut := func(p Path) Path { return p[:r.Intn(len(p)+1)] }
+	prefix := cut(randomPath(r, 10))
+	p := append(prefix.Clone(), cut(randomPath(r, 4))...)
+	q := append(prefix.Clone(), cut(randomPath(r, 4))...)
+	return p, q
+}
+
+// sharedLen returns the length of the element-wise common prefix of p and q.
+func sharedLen(p, q Path) int {
+	i := 0
+	for i < len(p) && i < len(q) && p[i] == q[i] {
+		i++
+	}
+	return i
+}
+
+// TestCompareFromMatchesCompare: skipping any valid shared prefix changes
+// nothing, including for paths that share backing memory (Arena.Extend).
+func TestCompareFromMatchesCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var a Arena
+	for trial := 0; trial < 20000; trial++ {
+		p, q := sharedPair(r)
+		if trial%4 == 0 && len(p) > 0 {
+			p = a.Copy(p)
+			q = a.Extend(p, randomPath(r, 1)[0])
+		}
+		want := Compare(p, q)
+		for i := 0; i <= sharedLen(p, q); i++ {
+			if got := CompareFrom(p, q, i); got != want {
+				t.Fatalf("CompareFrom(%v, %v, %d) = %d, Compare = %d", p, q, i, got, want)
+			}
+		}
+	}
+}
+
+// TestRegionCompareFromMatchesRegionCompare: the same for region
+// classification, with r a structural path (the root or a Major-ending
+// path) and i any length up to the shared prefix and len(r).
+func TestRegionCompareFromMatchesRegionCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 20000; trial++ {
+		id, q := sharedPair(r)
+		if len(id) == 0 {
+			continue
+		}
+		var region Path
+		if len(q) > 0 {
+			region = q.StripLastDis()
+		}
+		want := RegionCompare(id, region)
+		for i := 0; i <= sharedLen(id, region); i++ {
+			if got := RegionCompareFrom(id, region, i); got != want {
+				t.Fatalf("RegionCompareFrom(%v, %v, %d) = %d, RegionCompare = %d", id, region, i, got, want)
+			}
+		}
+	}
+}

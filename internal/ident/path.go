@@ -215,16 +215,24 @@ func class(p Path, i int) int {
 // DESIGN.md for the correction to the paper's element rules). It returns
 // -1 if p < q, 0 if p == q, +1 if p > q.
 func Compare(p, q Path) int {
-	n := len(p)
-	if len(q) < n {
-		n = len(q)
-	}
 	i := 0
-	if n > 0 && &p[0] == &q[0] {
+	if n := min(len(p), len(q)); n > 0 && &p[0] == &q[0] {
 		// Shared backing from index 0 (one path arena-Extends the other):
 		// the common prefix is the whole shorter path, element by element the
 		// same memory, so the scan starts at the length tiebreak.
 		i = n
+	}
+	return CompareFrom(p, q, i)
+}
+
+// CompareFrom is Compare for paths the caller knows share their first i
+// elements (p[:i] equals q[:i] element-wise, i <= min(len(p), len(q))): the
+// scan starts at element i. Walks that descend one element at a time use it
+// to compare only the elements that changed since the last comparison.
+func CompareFrom(p, q Path, i int) int {
+	n := len(p)
+	if len(q) < n {
+		n = len(q)
 	}
 	for ; i < n; i++ {
 		pe, qe := p[i], q[i]

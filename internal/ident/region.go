@@ -11,6 +11,15 @@ package ident
 // (Algorithm 1) uses this to establish that a candidate child region lies
 // strictly between the insert neighbours.
 func RegionCompare(a Path, r Path) int {
+	return RegionCompareFrom(a, r, 0)
+}
+
+// RegionCompareFrom is RegionCompare for an identifier the caller knows
+// agrees with r on its first i elements (a[:i] equals r[:i] element-wise,
+// i <= len(a), i <= len(r)); only the elements from i on are examined. The
+// free-slot search (doctree) descends one tree level at a time and so
+// compares only the last one or two elements of its region path per node.
+func RegionCompareFrom(a Path, r Path, i int) int {
 	if len(r) == 0 {
 		return 0 // the root's region is the whole identifier space
 	}
@@ -20,8 +29,8 @@ func RegionCompare(a Path, r Path) int {
 	// direction (entering the node through its major slot or any mini).
 	if len(a) >= k {
 		inside := true
-		for i := 0; i < k-1; i++ {
-			if a[i] != r[i] {
+		for j := i; j < k-1; j++ {
+			if a[j] != r[j] {
 				inside = false
 				break
 			}
@@ -32,5 +41,5 @@ func RegionCompare(a Path, r Path) int {
 	}
 	// Outside: the divergence point decides the side, which is exactly the
 	// lexicographic element order (subtree regions are intervals).
-	return Compare(a, r)
+	return CompareFrom(a, r, i)
 }
